@@ -37,7 +37,7 @@ func main() {
 	name := flag.String("name", "BenchmarkEndpointFanout", "benchmark to gate")
 	threshold := flag.Float64("threshold", 0.25, "relative regression that fails the gate")
 	nsThreshold := flag.Float64("ns-threshold", 0, "separate tolerance for ns/op (0 = same as -threshold); CI sets this wider because wall-clock baselines do not transfer across machines the way the structural dgrams-per-syscall ratio does")
-	wakeupsThreshold := flag.Float64("wakeups-threshold", 0, "separate tolerance for wakeups/op (0 = same as -threshold); wakeup counts depend on core count and scheduler, so CI widens this like ns/op while still catching structural blowups such as a lapsed multishot degenerating to one wakeup per datagram")
+	wakeupsThreshold := flag.Float64("wakeups-threshold", 0, "separate tolerance for wakeups/op (0 = same as -threshold); wakeup counts depend on core count and scheduler, so CI widens this like ns/op while still catching structural blowups such as a receive path degenerating to one wakeup per datagram")
 	flag.Parse()
 	if *nsThreshold == 0 {
 		*nsThreshold = *threshold
@@ -229,7 +229,7 @@ func compare(name string, runs []map[string]float64, base *baseline, baseDesc st
 	check("ns/op", base.NsPerOp, nsThreshold, true)
 	check("dgram/rxcall", base.DgramPerRx, threshold, false)
 	// Wakeups per op only gates entries that committed a baseline for
-	// it (the io_uring data path's structural metric); zero means the
+	// it (the receive path's structural metric); zero means the
 	// entry predates the metric and the check stays silent.
 	if base.WakeupsPerOp > 0 {
 		check("wakeups/op", base.WakeupsPerOp, wakeupsThreshold, true)

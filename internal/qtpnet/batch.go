@@ -113,37 +113,13 @@ type txTimeWriter interface {
 	nowNs() uint64
 }
 
-// ioCloser is the optional batchIO extension for implementations that
-// own kernel resources beyond the socket (io_uring rings, registered
-// buffers). The endpoint calls closeIO after stopping the send
-// scheduler and before closing the socket, so a reader blocked in the
-// ring can be woken and the rings torn down in order.
-type ioCloser interface {
-	closeIO()
-}
-
-// uringStatser is the optional batchIO extension exposing io_uring
-// structural counters: how many times the read loop actually had to
-// block (wakeups), and submission/completion volume through the rings.
-type uringStatser interface {
-	uringWakeups() uint64
-	uringSubmits() uint64
-	uringCompletions() uint64
-	// uringDeferred reports whether the ring runs in owner mode
-	// (DEFER_TASKRUN + SINGLE_ISSUER behind a dedicated goroutine)
-	// rather than the shared-entry fallback.
-	uringDeferred() bool
-}
-
 // batchOpts collects the per-socket data-path knobs: each rung of the
-// ladder (batching, segment offload, io_uring, TXTIME pacing) can be
-// disabled independently, by config or environment, without touching
-// the rungs below it.
+// ladder (batching, segment offload, TXTIME pacing) can be disabled
+// independently, by config or environment, without touching the rungs
+// below it.
 type batchOpts struct {
 	noBatch  bool // force the portable single-datagram fallback
 	noGSO    bool // never probe UDP_SEGMENT/UDP_GRO
-	noUring  bool // never probe io_uring
-	noDefer  bool // never probe the DEFER_TASKRUN ring-owner mode
 	noTxTime bool // never probe SO_TXTIME
 }
 

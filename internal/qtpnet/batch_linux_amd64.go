@@ -5,10 +5,8 @@ package qtpnet
 import "syscall"
 
 // The syscall package predates sendmmsg on amd64, so its number is
-// spelled out here; recvmmsg made the generated table. eventfd2 is the
-// ring-owner's cross-goroutine wake primitive.
+// spelled out here; recvmmsg made the generated table.
 const (
 	sysRecvmmsg = syscall.SYS_RECVMMSG
 	sysSendmmsg = 307
-	sysEventfd2 = 290
 )

@@ -7,5 +7,4 @@ import "syscall"
 const (
 	sysRecvmmsg = syscall.SYS_RECVMMSG
 	sysSendmmsg = syscall.SYS_SENDMMSG
-	sysEventfd2 = 19
 )

@@ -42,16 +42,11 @@ const closeGrace = 3 * time.Second
 // all three to exercise the fallback data paths on linux, where the
 // batch, reuseport and offload implementations would otherwise always
 // win. Read per construction, not at init, so tests can flip them.
-// envNoUring (QTPNET_NOURING) and envNoTxTime (QTPNET_NOTXTIME) do the
-// same for the io_uring data path and SO_TXTIME pacing offload.
-// envNoDefer (QTPNET_NODEFER) keeps the uring on the shared-entry
-// fallback — simulating a pre-6.1 kernel that lacks DEFER_TASKRUN —
-// without giving up the ring itself.
+// envNoTxTime (QTPNET_NOTXTIME) does the same for SO_TXTIME pacing
+// offload.
 func envNoBatchIO() bool   { return os.Getenv("QTPNET_NOBATCH") != "" }
 func envNoReusePort() bool { return os.Getenv("QTPNET_NOREUSEPORT") != "" }
 func envNoGSO() bool       { return os.Getenv("QTPNET_NOGSO") != "" }
-func envNoUring() bool     { return os.Getenv("QTPNET_NOURING") != "" }
-func envNoDefer() bool     { return os.Getenv("QTPNET_NODEFER") != "" }
 func envNoTxTime() bool    { return os.Getenv("QTPNET_NOTXTIME") != "" }
 func envNoEncrypt() bool   { return os.Getenv("QTPNET_NOENCRYPT") != "" }
 
@@ -78,8 +73,8 @@ type EndpointConfig struct {
 	// DisableBatchIO drops the endpoint to the bottom rung of the data-
 	// path ladder (docs/DATAPATH.md): the portable one-syscall-per-
 	// datagram socket path, skipping recvmmsg/sendmmsg batching and,
-	// by implication, the GSO/GRO and io_uring/TXTIME rungs stacked on
-	// top of it. The endpoint behaves identically on every rung; tests
+	// by implication, the GSO/GRO and TXTIME rungs stacked on top of
+	// it. The endpoint behaves identically on every rung; tests
 	// use this to prove it, and it is an escape hatch should a
 	// platform's batch path misbehave. Sealed datagrams (docs/WIRE.md)
 	// travel every rung unchanged — encryption is orthogonal.
@@ -90,17 +85,6 @@ type EndpointConfig struct {
 	// QTPNET_NOGSO environment override; semantics are identical either
 	// way, which the equivalence tests prove.
 	DisableGSO bool
-	// DisableUring keeps the io_uring data path (multishot receive,
-	// batched SQE submission) off this endpoint even on capable
-	// kernels, pinning it to the recvmmsg/sendmmsg rung. Implied by
-	// DisableBatchIO and by the QTPNET_NOURING environment override;
-	// delivery is byte-identical either way.
-	DisableUring bool
-	// DisableUringDefer keeps the io_uring path on the shared-entry
-	// fallback ring, never probing the DEFER_TASKRUN + SINGLE_ISSUER
-	// ring-owner mode — simulating a pre-6.1 kernel on a capable one.
-	// Implied by QTPNET_NODEFER; delivery is byte-identical either way.
-	DisableUringDefer bool
 	// DisableTxTime keeps SO_TXTIME pacing offload off the socket, so
 	// flushes leave as kernel-scheduled bursts rather than fq-paced
 	// release instants. Implied by DisableBatchIO and QTPNET_NOTXTIME.
@@ -177,27 +161,13 @@ type EndpointStats struct {
 	GroMerged    uint64
 	GsoFallbacks uint64
 
-	// Wakeups counts the times the receive path actually blocked into
-	// the kernel for more data — the structural cost batching and
-	// io_uring exist to amortize. On the mmsg/single paths every read
-	// syscall is a wakeup (Wakeups == RecvBatches); on the io_uring
-	// path completions drain without syscalls and Wakeups counts only
-	// the empty-queue blocks, so Wakeups < RecvBatches measures what
-	// the ring saved. UringSubmits/UringCompletions count SQE
-	// submission syscalls and reaped CQEs (zero off the uring path);
-	// TxTimeSends counts datagrams sent with an SO_TXTIME release
-	// stamp (zero without TXTIME pacing).
-	Wakeups          uint64
-	UringSubmits     uint64
-	UringCompletions uint64
-	TxTimeSends      uint64
-
-	// UringDeferred reports the ring-owner (DEFER_TASKRUN +
-	// SINGLE_ISSUER) mode: completion work runs only inside the owner
-	// goroutine's io_uring_enter, so one blocked owner counts one
-	// Wakeup however many requests it serves. False on the shared-entry
-	// ring and off the uring path entirely.
-	UringDeferred bool
+	// Wakeups counts the times the receive path blocked into the
+	// kernel for more data — the structural cost batching exists to
+	// amortize. Every read syscall is a wakeup, so Wakeups ==
+	// RecvBatches on every rung. TxTimeSends counts datagrams sent
+	// with an SO_TXTIME release stamp (zero without TXTIME pacing).
+	Wakeups     uint64
+	TxTimeSends uint64
 
 	// Cross-shard traffic (always zero on unsharded endpoints): frames
 	// the kernel hashed to a shard other than the one their connection
@@ -267,10 +237,6 @@ func (s EndpointStats) String() string {
 			s.GsoTrains, s.GsoSegs, s.GsoFallbacks, s.GroMerged)
 	}
 	str += fmt.Sprintf(" wakeups %d", s.Wakeups)
-	if s.UringSubmits > 0 || s.UringCompletions > 0 {
-		str += fmt.Sprintf(" uring submits %d completions %d deferred %v",
-			s.UringSubmits, s.UringCompletions, s.UringDeferred)
-	}
 	if s.TxTimeSends > 0 {
 		str += fmt.Sprintf(" txtime sends %d", s.TxTimeSends)
 	}
@@ -311,9 +277,6 @@ func (s EndpointStats) add(o EndpointStats) EndpointStats {
 	s.GroMerged += o.GroMerged
 	s.GsoFallbacks += o.GsoFallbacks
 	s.Wakeups += o.Wakeups
-	s.UringSubmits += o.UringSubmits
-	s.UringCompletions += o.UringCompletions
-	s.UringDeferred = s.UringDeferred || o.UringDeferred
 	s.TxTimeSends += o.TxTimeSends
 	s.CrossShardFwd += o.CrossShardFwd
 	s.CrossShardRecv += o.CrossShardRecv
@@ -352,7 +315,7 @@ type peerKey struct {
 //
 // Frames are sealed into AEAD envelopes just before they reach the
 // send scheduler and opened just after demux, so every batching layer
-// (sendmmsg, GSO trains, io_uring submissions) handles sealed
+// (sendmmsg batches, GSO trains) handles sealed
 // datagrams exactly as it handled plaintext; see docs/WIRE.md for the
 // envelope bytes and EndpointConfig.DisableEncryption for the escape
 // hatch.
@@ -495,12 +458,6 @@ func newEndpointOn(pc *net.UDPConn, cfg EndpointConfig, sh shardEnv) *Endpoint {
 	if envNoGSO() {
 		cfg.DisableGSO = true
 	}
-	if envNoUring() {
-		cfg.DisableUring = true
-	}
-	if envNoDefer() {
-		cfg.DisableUringDefer = true
-	}
 	if envNoTxTime() {
 		cfg.DisableTxTime = true
 	}
@@ -514,8 +471,6 @@ func newEndpointOn(pc *net.UDPConn, cfg EndpointConfig, sh shardEnv) *Endpoint {
 	bio := newBatchIO(pc, rxBatch, batchOpts{
 		noBatch:  cfg.DisableBatchIO,
 		noGSO:    cfg.DisableGSO,
-		noUring:  cfg.DisableUring,
-		noDefer:  cfg.DisableUringDefer,
 		noTxTime: cfg.DisableTxTime,
 	})
 	if cfg.SocketBufferBytes == 0 {
@@ -614,16 +569,9 @@ func (e *Endpoint) Stats() EndpointStats {
 	if so, ok := e.bio.(segmentOffloader); ok {
 		st.GsoFallbacks = so.gsoFallbacks()
 	}
-	// On the mmsg/single paths every read syscall blocks, so wakeups
-	// and receive syscalls coincide; the uring path reports how often
-	// it actually had to block.
+	// Every read syscall blocks, so wakeups and receive syscalls
+	// coincide on every rung.
 	st.Wakeups = st.RecvBatches
-	if us, ok := e.bio.(uringStatser); ok {
-		st.Wakeups = us.uringWakeups()
-		st.UringSubmits = us.uringSubmits()
-		st.UringCompletions = us.uringCompletions()
-		st.UringDeferred = us.uringDeferred()
-	}
 	if tw, ok := e.bio.(txTimeWriter); ok {
 		st.TxTimeSends = tw.txTimeSendCount()
 	}
@@ -650,27 +598,14 @@ func (e *Endpoint) GROEnabled() bool {
 	return false
 }
 
-// UringEnabled reports whether the endpoint's data path runs over
-// io_uring (multishot receive, batched SQE submission) — true only on
-// a capable kernel (~6.0 for UDP multishot) with the path neither
-// disabled (DisableUring, QTPNET_NOURING) nor refused at probe time.
-func (e *Endpoint) UringEnabled() bool {
-	_, ok := e.bio.(uringStatser)
-	return ok
-}
+// UringEnabled always reports false: the endpoint has no io_uring
+// data path (docs/DATAPATH.md records the measurements that retired
+// it). It stays so existing callers that log the rung keep compiling.
+func (e *Endpoint) UringEnabled() bool { return false }
 
-// UringDeferred reports whether the io_uring data path runs in the
-// ring-owner mode (IORING_SETUP_DEFER_TASKRUN + SINGLE_ISSUER, kernel
-// >= 6.1): all completion work batched inside one owner goroutine's
-// io_uring_enter instead of per-datagram task_work on whichever thread
-// enters the ring. False on the shared-entry fallback ring, under
-// DisableUringDefer / QTPNET_NODEFER, and off the uring path entirely.
-func (e *Endpoint) UringDeferred() bool {
-	if us, ok := e.bio.(uringStatser); ok {
-		return us.uringDeferred()
-	}
-	return false
-}
+// UringDeferred always reports false, for the same reason as
+// UringEnabled.
+func (e *Endpoint) UringDeferred() bool { return false }
 
 // TxTimeEnabled reports whether sends may carry SO_TXTIME release
 // stamps, i.e. whether the kernel accepted the pacing setsockopt and
@@ -812,13 +747,6 @@ func (e *Endpoint) Close() error {
 		e.mu.Unlock()
 		close(e.done)
 		e.tx.stop()
-		// With the scheduler stopped nothing submits to the rings: wake
-		// the read loop out of the kernel and release ring resources
-		// before the socket itself closes (an armed multishot holds a
-		// socket reference until its ring goes away).
-		if cl, ok := e.bio.(ioCloser); ok {
-			cl.closeIO()
-		}
 		for _, c := range conns {
 			c.teardown()
 		}
